@@ -99,6 +99,20 @@ def _kind_order(kind: str) -> tuple:
         return (1, 0, kind)
 
 
+def _publish_duration(publish: Span, spans: List[Span]) -> float:
+    """Time from the publish's start to the last span end of its trace.
+
+    A sequential ``publish`` is one span enclosing the whole routing, so
+    this is its own duration.  ``publish_batch`` emits ``publish`` as a
+    zero-duration record and routes the burst afterwards; the trace's
+    later spans then carry the time."""
+    last_end = max(
+        (s.t_us + s.dur_us for s in spans if s is not publish),
+        default=publish.t_us,
+    )
+    return max(publish.dur_us, last_end - publish.t_us)
+
+
 class TraceReport:
     """Structured + renderable view over one trace's spans."""
 
@@ -151,7 +165,7 @@ class TraceReport:
                     int(s.fields.get("count", 1))
                     for s in spans if s.kind == "delivery"
                 ),
-                duration_us=round(publish[0].dur_us, 3),
+                duration_us=round(_publish_duration(publish[0], spans), 3),
             ))
         digests.sort(key=lambda d: (-d.duration_us, d.trace_id))
         return digests

@@ -363,9 +363,9 @@ class EventRouter:
 
         The caller guarantees ``items`` passed the ``first_routing_of``
         dedup and that ``matched_sets[i]`` is the kept-summary match for
-        ``items[i]``.  Split out of :meth:`process_batch` so the sharded
-        runtime — whose step 1 runs in worker processes — reuses the exact
-        routing decisions the single-process paths take.
+        ``items[i]``.  Kept apart from :meth:`process_batch` so the
+        batched summary match and the per-event routing it feeds stay
+        separate stages, each timed on its own in a per-layer profile.
         """
         merged = broker.merged_brokers
         own = broker.broker_id

@@ -30,7 +30,7 @@ import argparse
 import asyncio
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.broker.persistence import SnapshotCodec, snapshot_path
 from repro.broker.propagation import TargetPolicy
@@ -45,7 +45,6 @@ from repro.runtime.server import (
     BrokerRuntime,
     maybe_enable_uvloop,
     named_topology,
-    warn_reference_matcher,
 )
 from repro.summary.precision import Precision
 from repro.wire.codec import ValueWidth
@@ -64,7 +63,6 @@ class LocalCluster:
         *,
         precision: Precision = Precision.COARSE,
         value_width: ValueWidth = ValueWidth.F64,
-        matcher: str = "compiled",
         match_cache_size: int = DEFAULT_MATCH_CACHE,
         propagation_policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE,
         propagation_mode: str = "delta",
@@ -76,27 +74,14 @@ class LocalCluster:
         host: str = "127.0.0.1",
         tracer=None,
         paranoid: Optional[bool] = None,
-        shards: Union[int, None, Dict[int, int]] = None,
     ):
         self.topology = topology
         self.schema = schema
         self.host = host
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
-        #: ``shards``: None/1 boots plain single-process runtimes; an int
-        #: boots every broker as a :class:`ShardedBrokerRuntime` with that
-        #: many workers; a ``{broker_id: n}`` mapping shards only the named
-        #: brokers (n > 1).  Preserved across ``restart_broker`` — a
-        #: restarted sharded broker comes back sharded.
-        if isinstance(shards, dict):
-            self._shards = dict(shards)
-        elif shards is None or shards <= 1:
-            self._shards = {}
-        else:
-            self._shards = {broker_id: shards for broker_id in topology.brokers}
         self._runtime_options = dict(
             precision=precision,
             value_width=value_width,
-            matcher=matcher,
             match_cache_size=match_cache_size,
             propagation_policy=propagation_policy,
             propagation_mode=propagation_mode,
@@ -116,7 +101,10 @@ class LocalCluster:
         self.runtimes: Dict[int, BrokerRuntime] = {}
         self._shared_codec = None
         for broker_id in topology.brokers:
-            runtime = self._build_runtime(broker_id)
+            runtime = BrokerRuntime(
+                broker_id, topology, schema,
+                message_codec=self._shared_codec, **self._runtime_options,
+            )
             if self._shared_codec is None:
                 self._shared_codec = runtime.message_codec
             self.runtimes[broker_id] = runtime
@@ -134,31 +122,6 @@ class LocalCluster:
         self._ledger_processed = 0
         self._quiesce_bias = 0
         self._chaos_dirty = False
-
-    def _build_runtime(self, broker_id: int, epoch: Optional[int] = None) -> BrokerRuntime:
-        """One broker runtime, sharded when the config says so (the spawn
-        cost is paid at ``start``, not here)."""
-        shards = self._shards.get(broker_id, 1)
-        if shards > 1:
-            from repro.runtime.sharded import ShardedBrokerRuntime
-
-            return ShardedBrokerRuntime(
-                broker_id,
-                self.topology,
-                self.schema,
-                message_codec=self._shared_codec,
-                epoch=epoch,
-                shards=shards,
-                **self._runtime_options,
-            )
-        return BrokerRuntime(
-            broker_id,
-            self.topology,
-            self.schema,
-            message_codec=self._shared_codec,
-            epoch=epoch,
-            **self._runtime_options,
-        )
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -294,7 +257,11 @@ class LocalCluster:
         """
         if broker_id in self.runtimes:
             raise RuntimeError(f"broker {broker_id} is still running")
-        runtime = self._build_runtime(broker_id, epoch=epoch)
+        runtime = BrokerRuntime(
+            broker_id, self.topology, self.schema,
+            message_codec=self._shared_codec, epoch=epoch,
+            **self._runtime_options,
+        )
         if restore_from is not None:
             path = snapshot_path(Path(restore_from), broker_id)
             SnapshotCodec(runtime.wire).restore_broker(path.read_bytes(), runtime.broker)
@@ -446,11 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--events", type=int, default=50,
                         help="events to publish (round-robin over brokers)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--matcher", choices=("reference", "compiled"),
-                        default="compiled",
-                        help="event-matching engine (default: compiled — the "
-                             "batched fast path; 'reference' is deprecated on "
-                             "the live path and kept for debugging)")
     parser.add_argument("--snapshot-dir", default=None,
                         help="drain every broker to snapshots on exit")
     parser.add_argument("--propagation-mode", choices=("delta", "full"),
@@ -459,9 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "incremental SUMMARY_DELTA with generation "
                              "chaining; 'full' re-ships whole summaries)")
     parser.add_argument("--paranoid", action="store_true")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="worker processes per broker for the match hot "
-                             "path (1 = single-process brokers)")
     return parser
 
 
@@ -471,11 +430,9 @@ async def _demo(args: argparse.Namespace) -> None:
     cluster = LocalCluster(
         topology,
         workload.schema,
-        matcher=args.matcher,
         snapshot_dir=args.snapshot_dir,
         propagation_mode=args.propagation_mode,
         paranoid=True if args.paranoid else None,
-        shards=args.shards,
     )
     await cluster.start()
     print(f"cluster up: {topology!r}", flush=True)
@@ -515,8 +472,6 @@ async def _demo(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.matcher == "reference":
-        warn_reference_matcher("repro-cluster")
     maybe_enable_uvloop()
     asyncio.run(_demo(args))
     return 0

@@ -116,7 +116,6 @@ __all__ = [
     "RuntimeNetwork",
     "maybe_enable_uvloop",
     "named_topology",
-    "warn_reference_matcher",
     "main",
 ]
 
@@ -410,7 +409,6 @@ class BrokerRuntime:
         precision: Precision = Precision.COARSE,
         value_width: ValueWidth = ValueWidth.F64,
         max_subscriptions: int = DEFAULT_MAX_SUBSCRIPTIONS,
-        matcher: str = "compiled",
         match_cache_size: int = DEFAULT_MATCH_CACHE,
         dedup_capacity: int = 4096,
         propagation_policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE,
@@ -498,7 +496,7 @@ class BrokerRuntime:
             schema,
             precision,
             on_delivery=self._on_delivery,
-            matcher=matcher,
+            matcher="compiled",
             dedup_capacity=dedup_capacity,
             max_subscriptions=max_subscriptions,
             match_cache_size=match_cache_size,
@@ -776,7 +774,8 @@ class BrokerRuntime:
                         (m.event, m.brocli, m.publish_id)
                         for m in burst[index:end]
                     ]
-                    await self._process_burst(items)
+                    self.metrics.record_match_batch(len(items))
+                    self.router.process_batch(self.broker, items)
                     index = end
                 else:
                     self._dispatch_peer(peer_id, message)
@@ -895,33 +894,11 @@ class BrokerRuntime:
         summary check; forwards ride the pump."""
         for event in events:
             self.schema.validate_event(event)
-        await self._publish_events(events)
+        self.metrics.record_match_batch(len(events))
+        self.router.publish_batch(self.broker_id, events)
         if self.auditor is not None:
             self.auditor.audit_dedup(self._audit_scope)
         await self._pump()
-
-    # -- data-plane seams (overridden by ShardedBrokerRuntime) -----------------
-
-    async def _process_burst(
-        self, items: List[Tuple[Event, FrozenSet[int], int]]
-    ) -> None:
-        """Run Algorithm 3 over one contiguous EVENT run from a peer.
-
-        The single-process hot path dispatches inline; the sharded runtime
-        overrides this to fan step 1 (the summary match) out to worker
-        processes.  Awaiting here never reorders frames of one connection
-        — `_serve_peer` finishes the whole burst before its next recv —
-        but frames of *other* connections may interleave at the await,
-        which is a serialization a frame-at-a-time loop could also have
-        produced.
-        """
-        self.metrics.record_match_batch(len(items))
-        self.router.process_batch(self.broker, items)
-
-    async def _publish_events(self, events: List[Event]) -> None:
-        """Mint ids and run the ingress hop for one validated PUB burst."""
-        self.metrics.record_match_batch(len(events))
-        self.router.publish_batch(self.broker_id, events)
 
     async def _handle_client_frame(self, session: ClientSession, message: Message) -> None:
         if isinstance(message, EventMessage):
@@ -1106,11 +1083,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--period-interval", type=float, default=0.0,
                         help="seconds between timer-driven propagation acts "
                              "(0 = only explicit/cluster-driven periods)")
-    parser.add_argument("--matcher", choices=("reference", "compiled"),
-                        default="compiled",
-                        help="event-matching engine (default: compiled — the "
-                             "batched fast path; 'reference' is deprecated on "
-                             "the live path and kept for debugging)")
     parser.add_argument("--precision", choices=("coarse", "exact"),
                         default="coarse")
     parser.add_argument("--propagation-mode", choices=PROPAGATION_MODES,
@@ -1123,40 +1095,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="max frames per inbound dispatch batch")
     parser.add_argument("--paranoid", action="store_true",
                         help="run the summary auditor after every period")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="worker processes for the match hot path "
-                             "(1 = single-process; N > 1 boots the sharded "
-                             "runtime, one CompiledMatcher per worker)")
     return parser
 
 
-def warn_reference_matcher(prog: str) -> None:
-    """Deprecation note for explicitly selecting the reference matcher on
-    the live path (it remains the simulator/figure-reproduction engine)."""
-    print(
-        f"{prog}: warning: '--matcher reference' on the live runtime is "
-        f"deprecated — it matches one event at a time and will not keep up "
-        f"under load; the compiled engine is semantically identical "
-        f"(differential-tested) and now the default.",
-        file=sys.stderr,
-        flush=True,
-    )
-
-
 async def _serve(args: argparse.Namespace) -> None:
-    if args.shards > 1:
-        # Deferred import: sharded builds on this module.
-        from repro.runtime.sharded import ShardedBrokerRuntime
-
-        runtime_cls, extra = ShardedBrokerRuntime, {"shards": args.shards}
-    else:
-        runtime_cls, extra = BrokerRuntime, {}
-    runtime = runtime_cls(
+    runtime = BrokerRuntime(
         args.broker_id,
         named_topology(args.topology),
         stock_schema(),
         precision=Precision(args.precision),
-        matcher=args.matcher,
         propagation_mode=args.propagation_mode,
         period_interval=args.period_interval or None,
         queue_frames=args.queue_frames,
@@ -1169,7 +1116,6 @@ async def _serve(args: argparse.Namespace) -> None:
         # epoch 1, and a cold-rejoined broker would re-mint publish ids
         # that surviving peers' dedup tables eat as duplicates.
         epoch=allocate_epoch(args.snapshot_dir, args.broker_id),
-        **extra,
     )
     port = await runtime.start(args.port)
     runtime.set_peers(parse_peers(args.peers))
@@ -1182,8 +1128,6 @@ async def _serve(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.matcher == "reference":
-        warn_reference_matcher("repro-broker")
     maybe_enable_uvloop()
     try:
         asyncio.run(_serve(args))

@@ -147,3 +147,37 @@ def test_report_from_live_traced_system(small_workload):
     assert report.stage("publish").count == 1
     assert report.stage("propagation_period").count == 1
     assert report.publishes and report.publishes[0].deliveries >= 1
+
+
+def test_batched_publish_digests_span_their_trace(small_workload):
+    """``publish_batch`` emits ``publish`` as a zero-duration record, so a
+    digest's duration must come from the rest of its trace; a sequential
+    ``publish`` span keeps its own duration."""
+    from repro.broker.system import SummaryPubSub
+    from repro.network import Topology
+
+    tracer = Tracer()
+    system = SummaryPubSub(
+        Topology.line(4), small_workload.schema, matcher="compiled",
+        tracer=tracer,
+    )
+    subscription = small_workload.subscription()
+    system.subscribe(3, subscription)
+    system.run_propagation_period()
+    batched = system.router.publish_batch(
+        0, [small_workload.matching_event(subscription) for _ in range(3)]
+    )
+    system.publish(0, small_workload.matching_event(subscription))
+    report = build_trace_report(tracer)
+    digests = {digest.trace_id: digest for digest in report.publishes}
+    assert len(digests) == 4
+    for trace_id in batched:
+        assert digests[trace_id].duration_us > 0.0
+    (single,) = [
+        span for span in tracer.spans_of("publish")
+        if span.trace_id not in batched
+    ]
+    assert single.dur_us > 0.0
+    assert digests[single.trace_id].duration_us == pytest.approx(
+        round(single.dur_us, 3)
+    )
